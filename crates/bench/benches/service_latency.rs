@@ -154,7 +154,7 @@ fn measured_run(
                     let mut delivered = 0usize;
                     for &(src, dst) in queries.iter().skip(w).step_by(workers) {
                         let t = Instant::now();
-                        let a = session.route(src, dst);
+                        let a = session.route_with(ServiceScheme::Slgf2, src, dst);
                         lats.push(t.elapsed().as_secs_f64());
                         assert!(
                             a.epoch <= service.epoch(),

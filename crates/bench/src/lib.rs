@@ -8,6 +8,7 @@
 //! `samples` / median / stddev statistics the CI `bench-gate` binary
 //! compares.
 
+use sp_metrics::percentile;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -106,17 +107,6 @@ impl LatencyStats {
     }
 }
 
-/// Nearest-rank percentile of an **ascending-sorted** sample slice:
-/// the smallest element such that at least `q` of the population is at
-/// or below it. Empty input yields 0.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// The `"<prefix>csr_bytes_per_node": …, "<prefix>total_bytes_per_node": …,
 /// "<prefix>legacy_bytes_per_node": …, "<prefix>adjacency_compression": …`
 /// JSON fragment for one [`sp_net::TopologyFootprint`] — the memory
@@ -195,17 +185,6 @@ mod tests {
         // The CSR arena must undercut the per-node-Vec layout.
         let f = net.memory_footprint();
         assert!(f.adjacency_bytes_per_node() < f.legacy_adjacency_bytes_per_node());
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank_on_sorted_input() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 0.50), 50.0);
-        assert_eq!(percentile(&sorted, 0.95), 95.0);
-        assert_eq!(percentile(&sorted, 0.99), 99.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

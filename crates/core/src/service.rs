@@ -34,9 +34,7 @@
 //! queries/sec plus p50/p95/p99 per-query latency in CI
 //! (`BENCH_service.json`).
 
-use crate::{
-    LgfRouter, RouteBuffer, RouteOutcome, RouteResult, Routing, SafetyInfo, Slgf2Router, SlgfRouter,
-};
+use crate::{LgfRouter, RouteBuffer, RouteOutcome, Routing, SafetyInfo, Slgf2Router, SlgfRouter};
 use sp_geom::Point;
 use sp_net::{Network, NodeId};
 use sp_sim::ChaosPlan;
@@ -179,7 +177,7 @@ pub struct ServiceBatch {
 /// answering queries while mobility churns underneath.
 ///
 /// ```
-/// use sp_core::RoutingService;
+/// use sp_core::{RoutingService, ServiceScheme};
 /// use sp_net::{deploy::DeploymentConfig, Network, NodeId};
 ///
 /// let cfg = DeploymentConfig::paper_default(300);
@@ -187,14 +185,15 @@ pub struct ServiceBatch {
 /// let service = RoutingService::new(net);
 ///
 /// let mut session = service.session();
-/// let a = session.route(NodeId(0), NodeId(299));
+/// let a = session.route_with(ServiceScheme::Slgf2, NodeId(0), NodeId(299));
 /// assert_eq!(a.epoch, 0);
 ///
 /// // Mobility: build epoch 1 off to the side, publish, keep serving.
 /// let p = service.snapshot().value.network().position(NodeId(5));
 /// let moved = service.apply_moves(&[(NodeId(5), sp_geom::Point::new(p.x + 1.0, p.y))]);
 /// assert_eq!(moved, 1);
-/// assert_eq!(session.route(NodeId(0), NodeId(299)).epoch, 1);
+/// let a = session.route_with(ServiceScheme::Slgf2, NodeId(0), NodeId(299));
+/// assert_eq!(a.epoch, 1);
 /// ```
 #[derive(Debug)]
 pub struct RoutingService {
@@ -317,7 +316,7 @@ impl RoutingService {
             || RouteBuffer::with_capacity(snap.network().len()),
             |buf, i| {
                 let (src, dst) = queries[i];
-                answer(snap, pinned.epoch, src, dst, buf)
+                answer_with(snap, ServiceScheme::Slgf2, pinned.epoch, src, dst, buf)
             },
         );
         ServiceBatch {
@@ -325,17 +324,6 @@ impl RoutingService {
             answers,
         }
     }
-}
-
-/// Routes one query against `snap` and stamps `epoch` on the answer.
-fn answer(
-    snap: &ServiceSnapshot,
-    epoch: u64,
-    src: NodeId,
-    dst: NodeId,
-    buf: &mut RouteBuffer,
-) -> ServiceAnswer {
-    answer_with(snap, ServiceScheme::Slgf2, epoch, src, dst, buf)
 }
 
 /// Routes one query with the requested scheme against `snap` and
@@ -392,9 +380,7 @@ impl ServiceSession<'_> {
 
     /// Re-pins to the current snapshot if the service published since
     /// the last pin. Returns `true` when the pin moved. Called
-    /// automatically by [`ServiceSession::route`]; exposed for callers
-    /// that want several queries against one consistent epoch
-    /// ([`ServiceSession::route_pinned`]).
+    /// automatically by [`ServiceSession::route_with`].
     pub fn refresh(&mut self) -> bool {
         if self.service.epoch() == self.pinned.epoch {
             return false;
@@ -403,43 +389,11 @@ impl ServiceSession<'_> {
         true
     }
 
-    /// Answers one query against the **current** epoch (re-pinning
-    /// first if the service published since the last query).
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> ServiceAnswer {
-        self.refresh();
-        self.route_pinned(src, dst)
-    }
-
-    /// Answers one query against the epoch already pinned, without
-    /// checking for a newer one — the building block for multi-query
-    /// consistency (pin once via [`ServiceSession::refresh`], then ask
-    /// related queries against one world).
-    pub fn route_pinned(&mut self, src: NodeId, dst: NodeId) -> ServiceAnswer {
-        answer(
-            &self.pinned.value,
-            self.pinned.epoch,
-            src,
-            dst,
-            &mut self.buf,
-        )
-    }
-
-    /// [`ServiceSession::route`] returning the full owned trace next
-    /// to the epoch stamp — what the consistency tests validate paths
-    /// with.
-    pub fn route_traced(&mut self, src: NodeId, dst: NodeId) -> (u64, RouteResult) {
-        self.refresh();
-        let snap = &*self.pinned.value;
-        let r = snap
-            .router()
-            .route_into(snap.network(), src, dst, &mut self.buf);
-        (self.pinned.epoch, r.to_result())
-    }
-
-    /// [`ServiceSession::route`] with per-query scheme selection —
-    /// the entry point the `sp-serve` wire front end dispatches `QUERY`
-    /// frames through. Identical epoch semantics; SLGF2 answers are
-    /// bit-identical to [`ServiceSession::route`].
+    /// Answers one query with the requested scheme against the
+    /// **current** epoch, re-pinning first if the service published
+    /// since the last query. The one query entry point: the `sp-serve`
+    /// wire front end dispatches `QUERY` frames through it, and
+    /// [`ServiceSession::last_path`] then holds the answer's trace.
     pub fn route_with(&mut self, scheme: ServiceScheme, src: NodeId, dst: NodeId) -> ServiceAnswer {
         self.refresh();
         answer_with(
@@ -455,7 +409,8 @@ impl ServiceSession<'_> {
     /// The hop trace of the most recent query answered by this session,
     /// borrowed from the session's reused buffer: source inclusive,
     /// valid against the answer's stamped epoch. Lets trace consumers
-    /// stream the path without an owned [`RouteResult`] allocation.
+    /// stream the path without an owned [`crate::RouteResult`]
+    /// allocation.
     pub fn last_path(&self) -> &[NodeId] {
         self.buf.path()
     }
@@ -507,7 +462,7 @@ mod tests {
         assert_eq!(service.epoch(), 0);
         let mut session = service.session();
         for (s, d) in some_queries(service.snapshot().value.network(), 10) {
-            let a = session.route(s, d);
+            let a = session.route_with(ServiceScheme::Slgf2, s, d);
             assert_eq!(a.epoch, 0);
             assert_eq!((a.src, a.dst), (s, d));
         }
@@ -522,7 +477,7 @@ mod tests {
         let router = Slgf2Router::new(&info);
         let mut session = service.session();
         for (s, d) in queries {
-            let a = session.route(s, d);
+            let a = session.route_with(ServiceScheme::Slgf2, s, d);
             let offline = router.route(&net, s, d);
             assert_eq!(a.outcome, offline.outcome, "{s}->{d}");
             assert_eq!(a.hops, offline.hops(), "{s}->{d}");
@@ -536,7 +491,7 @@ mod tests {
         let service = RoutingService::new(net);
         let mut session = service.session();
         let (s, d) = some_queries(session.snapshot().network(), 1)[0];
-        assert_eq!(session.route(s, d).epoch, 0);
+        assert_eq!(session.route_with(ServiceScheme::Slgf2, s, d).epoch, 0);
 
         let moves = jitter(session.snapshot().network(), 2.0);
         assert!(!moves.is_empty());
@@ -545,27 +500,25 @@ mod tests {
 
         // The stale session transparently re-pins on its next query.
         assert_eq!(session.epoch(), 0);
-        let a = session.route(s, d);
+        let a = session.route_with(ServiceScheme::Slgf2, s, d);
         assert_eq!(a.epoch, 1);
         assert_eq!(session.epoch(), 1);
     }
 
     #[test]
-    fn pinned_routing_stays_on_its_epoch_across_publishes() {
+    fn session_stays_pinned_until_it_refreshes() {
         let net = prepared(250, 9);
         let service = RoutingService::new(net);
         let mut session = service.session();
-        let queries = some_queries(session.snapshot().network(), 8);
         let moves = jitter(session.snapshot().network(), 3.0);
         service.apply_moves(&moves);
-        // route_pinned never refreshes: all answers stay at epoch 0
-        // even though the service moved on.
-        for &(s, d) in &queries {
-            assert_eq!(session.route_pinned(s, d).epoch, 0);
-        }
+        // A publish strands the pin one epoch behind; only a refresh
+        // (or the next query) moves it.
         assert_eq!(service.epoch(), 1);
+        assert_eq!(session.epoch(), 0);
         assert!(session.refresh());
-        assert_eq!(session.route_pinned(queries[0].0, queries[0].1).epoch, 1);
+        assert_eq!(session.epoch(), 1);
+        assert!(!session.refresh(), "already current");
     }
 
     #[test]
@@ -592,7 +545,11 @@ mod tests {
         let batch = service.run_batch(&queries);
         let mut session = service.session();
         for (i, &(s, d)) in queries.iter().enumerate() {
-            assert_eq!(batch.answers[i], session.route(s, d), "query {i}");
+            assert_eq!(
+                batch.answers[i],
+                session.route_with(ServiceScheme::Slgf2, s, d),
+                "query {i}"
+            );
         }
     }
 
@@ -604,7 +561,7 @@ mod tests {
         let queries = some_queries(session.snapshot().network(), 6);
         for round in 0..4u64 {
             for &(s, d) in &queries {
-                let a = session.route(s, d);
+                let a = session.route_with(ServiceScheme::Slgf2, s, d);
                 assert!(a.epoch <= service.epoch());
                 assert_eq!(a.epoch, round);
             }
@@ -665,7 +622,10 @@ mod tests {
         let mut a = service.session();
         let mut b = plain.session();
         for &(s, d) in &queries {
-            let (ra, rb) = (a.route(s, d), b.route(s, d));
+            let (ra, rb) = (
+                a.route_with(ServiceScheme::Slgf2, s, d),
+                b.route_with(ServiceScheme::Slgf2, s, d),
+            );
             assert_eq!(ra.outcome, rb.outcome);
             assert_eq!(ra.hops, rb.hops);
             assert_eq!(ra.length, rb.length);

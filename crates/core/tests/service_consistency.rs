@@ -18,7 +18,7 @@
 //!    along the way.
 
 use proptest::prelude::*;
-use sp_core::{RoutingService, ServiceSnapshot};
+use sp_core::{RoutingService, ServiceAnswer, ServiceScheme, ServiceSnapshot};
 use sp_geom::Point;
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
 
@@ -67,19 +67,10 @@ fn jitter(net: &Network, round: usize, movers: usize, delta: f64) -> Vec<(NodeId
 /// `e`'s adjacency: consecutive hops are edges *of that network*, the
 /// walk starts at the source, and a delivered walk ends at the
 /// destination.
-fn assert_path_valid_on(
-    net: &Network,
-    epoch: u64,
-    src: NodeId,
-    dst: NodeId,
-    result: &sp_core::RouteResult,
-) {
-    assert_eq!(
-        result.path.first(),
-        Some(&src),
-        "epoch {epoch}: wrong start"
-    );
-    for w in result.path.windows(2) {
+fn assert_path_valid_on(net: &Network, answer: &ServiceAnswer, path: &[NodeId]) {
+    let (epoch, src, dst) = (answer.epoch, answer.src, answer.dst);
+    assert_eq!(path.first(), Some(&src), "epoch {epoch}: wrong start");
+    for w in path.windows(2) {
         assert!(
             net.has_edge(w[0], w[1]),
             "epoch {epoch}: hop {:?}->{:?} is not an edge of its stamped epoch",
@@ -87,9 +78,9 @@ fn assert_path_valid_on(
             w[1]
         );
     }
-    if result.delivered() {
+    if answer.delivered() {
         assert_eq!(
-            result.path.last(),
+            path.last(),
             Some(&dst),
             "epoch {epoch}: delivered but did not end at the destination"
         );
@@ -115,7 +106,7 @@ proptest! {
         // Publisher keeps each epoch's snapshot pinned so paths can be
         // validated against exactly the epoch they claim; readers
         // trace-route the query list concurrently.
-        let mut traced: Vec<Vec<(u64, NodeId, NodeId, sp_core::RouteResult)>> = Vec::new();
+        let mut traced: Vec<Vec<(ServiceAnswer, Vec<NodeId>)>> = Vec::new();
         let mut published = vec![service.snapshot()];
         std::thread::scope(|s| {
             let publisher = s.spawn(|| {
@@ -141,12 +132,13 @@ proptest! {
                         let mut out = Vec::with_capacity(2 * qs.len());
                         for pass in 0..2 {
                             for &(src, dst) in qs.iter().skip((r + pass) % 2) {
-                                let (epoch, result) = session.route_traced(src, dst);
+                                let answer =
+                                    session.route_with(ServiceScheme::Slgf2, src, dst);
                                 assert!(
-                                    epoch <= service.epoch(),
+                                    answer.epoch <= service.epoch(),
                                     "stamp ran ahead of the service epoch"
                                 );
-                                out.push((epoch, src, dst, result));
+                                out.push((answer, session.last_path().to_vec()));
                             }
                         }
                         out
@@ -163,9 +155,9 @@ proptest! {
         for (e, pin) in published.iter().enumerate() {
             prop_assert_eq!(pin.epoch, e as u64, "publisher history has a gap");
         }
-        for (epoch, src, dst, result) in traced.into_iter().flatten() {
-            let pin = &published[epoch as usize];
-            assert_path_valid_on(pin.value.network(), epoch, src, dst, &result);
+        for (answer, path) in traced.into_iter().flatten() {
+            let pin = &published[answer.epoch as usize];
+            assert_path_valid_on(pin.value.network(), &answer, &path);
         }
     }
 
@@ -222,7 +214,11 @@ fn session_and_batch_agree_after_churn() {
     assert_eq!(batch.epoch, 3);
     let mut session = service.session();
     for (i, &(src, dst)) in qs.iter().enumerate() {
-        assert_eq!(batch.answers[i], session.route(src, dst), "query {i}");
+        assert_eq!(
+            batch.answers[i],
+            session.route_with(ServiceScheme::Slgf2, src, dst),
+            "query {i}"
+        );
     }
 }
 

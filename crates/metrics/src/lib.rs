@@ -18,5 +18,5 @@ pub mod table;
 pub use csv::render_csv;
 pub use json::render_json;
 pub use series::{Figure, Series};
-pub use stats::Summary;
+pub use stats::{percentile, Summary};
 pub use table::{render_markdown, render_text};

@@ -1,5 +1,16 @@
 //! Summary statistics over samples of routing metrics.
 
+/// Nearest-rank percentile of an **ascending-sorted** sample slice:
+/// the smallest element such that at least a fraction `q` of the
+/// population is at or below it. Empty input yields 0.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Summary of a sample: the aggregates the paper's figures report (mean
 /// for Figs. 6–7, max for Fig. 5) plus dispersion for our extended
 /// reporting.
@@ -40,7 +51,6 @@ impl Summary {
         sorted.sort_by(f64::total_cmp);
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let var = sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        let rank_p95 = ((0.95 * n as f64).ceil() as usize).clamp(1, n) - 1;
         Summary {
             n,
             mean,
@@ -48,7 +58,7 @@ impl Summary {
             min: sorted[0],
             max: sorted[n - 1],
             median: sorted[(n - 1) / 2],
-            p95: sorted[rank_p95],
+            p95: percentile(&sorted, 0.95),
         }
     }
 
@@ -116,6 +126,17 @@ mod tests {
     fn median_even_sample_is_lower_middle() {
         let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
         assert_eq!(s.median, 2.0);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(percentile(&sorted, 0.50), 50.0);
+        assert_eq!(percentile(&sorted, 0.95), 95.0);
+        assert_eq!(percentile(&sorted, 0.99), 99.0);
+        assert_eq!(percentile(&sorted, 1.0), 100.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
     #[test]

@@ -241,11 +241,11 @@ fn main() {
         eprintln!("sp-serve-load: connect {addr}: {e}");
         std::process::exit(1);
     });
-    let (epoch0, nodes, workers) = probe.info().unwrap_or_else(|e| {
+    let (epoch0, nodes, slots) = probe.info().unwrap_or_else(|e| {
         eprintln!("sp-serve-load: INFO failed: {e}");
         std::process::exit(1);
     });
-    println!("target {addr}: nodes={nodes} workers={workers} epoch={epoch0}");
+    println!("target {addr}: nodes={nodes} slots={slots} epoch={epoch0}");
 
     let start = std::time::Instant::now();
     let stop_churn = std::sync::Mutex::new(false);

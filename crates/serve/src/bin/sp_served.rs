@@ -4,7 +4,7 @@
 //! sp-served [--nodes N] [--seed S]
 //! ```
 //!
-//! The listen address, worker count, and telemetry export come from
+//! The listen address, slot count, and telemetry export come from
 //! the registered knobs (`SP_SERVE_ADDR`, `SP_SERVE_THREADS`,
 //! `SP_SERVE_TELEMETRY`). On startup the bound address is announced on
 //! stdout as `sp-served listening on <addr> …` — the line
@@ -45,7 +45,7 @@ fn main() {
     let cfg = DeploymentConfig::paper_default(nodes);
     let net = Network::from_positions(cfg.deploy_uniform(seed), cfg.radius, cfg.area);
     let serve_cfg = ServeConfig::from_env();
-    let workers = serve_cfg.threads.max(1);
+    let slots = serve_cfg.threads.max(1);
     let handle = match serve(net, serve_cfg) {
         Ok(handle) => handle,
         Err(e) => {
@@ -54,7 +54,7 @@ fn main() {
         }
     };
     println!(
-        "sp-served listening on {} (nodes={nodes} seed={seed} workers={workers})",
+        "sp-served listening on {} (nodes={nodes} seed={seed} slots={slots})",
         handle.addr()
     );
     use std::io::Write;

@@ -2,17 +2,19 @@
 //! [`RoutingService`](sp_core::RoutingService).
 //!
 //! The service layer made routing long-lived; this crate makes it
-//! **reachable**: a fixed worker pool speaking a small length-prefixed
-//! binary protocol (`QUERY` with optional hop-trace streaming, `MOVE`,
+//! **reachable**: a thread per connection over a bounded pool of
+//! routing slots, speaking a small length-prefixed binary protocol (`QUERY` with optional hop-trace streaming, `MOVE`,
 //! `CHAOS`, `STATS`, `SHUTDOWN`, `INFO`) — no async runtime, no
 //! serialization dependency, nothing beyond `std::net`.
 //!
 //! * [`wire`] — the framed protocol: alloc-free decode/encode, named
 //!   [`ProtocolError`]s for every malformed shape, never a panic;
-//! * [`server`] — accept queue, per-worker
-//!   [`ServiceSession`](sp_core::ServiceSession)s, epoch-stamped
-//!   responses, graceful draining shutdown;
-//! * [`telemetry`] — per-worker counter cells, hop histogram, latency
+//! * [`server`] — a thread per accepted connection, a fixed pool of
+//!   slots each holding one [`ServiceSession`](sp_core::ServiceSession)
+//!   (taken only to answer complete frames, never while a connection
+//!   waits on its socket), epoch-stamped responses, graceful draining
+//!   shutdown;
+//! * [`telemetry`] — per-slot counter cells, hop histogram, latency
 //!   reservoir, `STATS` aggregation and periodic JSONL export;
 //! * [`client`] — the blocking client the load generator, benches and
 //!   end-to-end tests drive the server with.

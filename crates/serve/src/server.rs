@@ -1,25 +1,27 @@
-//! The TCP front end: a fixed worker pool serving the wire protocol
-//! over a shared [`RoutingService`].
+//! The TCP front end: one thread per connection over a bounded pool of
+//! routing slots, serving the wire protocol over a shared
+//! [`RoutingService`].
 //!
 //! Shape:
 //!
-//! * one **accept thread** feeds connections into a `Mutex`+`Condvar`
-//!   queue; each queued [`Conn`] carries its own [`FrameReader`], so
-//!   partially-read frames survive a hand-off between workers;
-//! * `SP_SERVE_THREADS` **workers** each own one
-//!   [`ServiceSession`] (pinned snapshot + reused route buffer) and a
-//!   [`ConnScratch`] of reusable buffers, and serve connections in
-//!   bounded **stints**: a worker stays on a connection while frames
-//!   flow, and yields it back to the queue once it idles (or after
-//!   [`STINT_FRAMES`] frames or [`STINT_BUDGET`] of wall time, so one
-//!   epoch-publishing `MOVE` cannot buy a second stint for free)
-//!   whenever other connections are waiting —
-//!   so any number of concurrent connections make progress on a pool
-//!   of any size, down to one worker. The steady-state `QUERY` path
-//!   (decode → route → encode) performs **zero allocations**, enforced
-//!   by the `sp-analyze` hot-function manifest. Sessions re-pin to the
-//!   current epoch on every query, so a connection hopping between
-//!   workers still observes nondecreasing epochs;
+//! * the **accept thread** spawns one named thread per accepted
+//!   connection. That thread owns its socket, its [`FrameReader`], its
+//!   read chunk and its reply buffer;
+//! * the server keeps `SP_SERVE_THREADS` **slots** for its whole life.
+//!   A slot holds one [`ServiceSession`] (pinned snapshot + reused
+//!   route buffer), the decoded-`MOVE` scratch and the index of its
+//!   telemetry cell. A connection takes a slot only when it has
+//!   complete frames buffered, answers them, and returns the slot
+//!   before it writes the replies and reads its socket again — so no
+//!   connection ever holds a slot while it waits on its socket, and any
+//!   number of connections make progress on a pool of any size, down
+//!   to one slot. Slots borrow the service, so the accept loop and the
+//!   connection threads all run inside one `std::thread::scope`. The
+//!   steady-state `QUERY` path (decode → route → encode) performs
+//!   **zero allocations**, enforced by the `sp-analyze` hot-function
+//!   manifest. Sessions re-pin to the current epoch on every query, so
+//!   a connection moving between slots still observes nondecreasing
+//!   epochs;
 //! * an optional **exporter thread** appends a telemetry JSONL line
 //!   every interval when `SP_SERVE_TELEMETRY` names a file.
 //!
@@ -29,12 +31,12 @@
 //! `end_to_end` test races concurrent clients against live `MOVE` /
 //! `CHAOS` churn to hold it.
 //!
-//! Shutdown is graceful by construction: `SHUTDOWN` is acknowledged
-//! first, then the stop flag flips, the accept loop is woken with a
-//! throwaway connection and exits, and every worker keeps draining its
-//! current connection (and any already-queued ones) until EOF or the
-//! drain deadline — pipelined in-flight requests always get their
-//! replies.
+//! Shutdown is graceful: on `SHUTDOWN` the stop flag flips first and
+//! the acknowledgement is written after it, so a requester that hears
+//! back always finds the server stopping. The accept loop is woken
+//! with a throwaway connection and exits, and every connection thread
+//! keeps serving until EOF or the drain deadline — pipelined in-flight
+//! requests always get their replies.
 
 use crate::telemetry::Telemetry;
 use crate::wire::{
@@ -46,8 +48,7 @@ use sp_core::{RoutingService, ServiceScheme, ServiceSession};
 use sp_experiments::ChaosRecipe;
 use sp_geom::Point;
 use sp_net::{Network, NodeId};
-use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,44 +61,17 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:4617";
 /// Per-connection read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Socket read timeout while a connection has the queue to itself: how
-/// often the worker rechecks the stop flag and drain deadline.
+/// Socket read timeout: how often an idle connection thread rechecks
+/// the stop flag and drain deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Socket read timeout while other connections are waiting in the
-/// queue: long enough to catch the next request of a loopback
-/// request–response client, short enough to rotate promptly.
-const ROTATE_TIMEOUT: Duration = Duration::from_millis(2);
-
-/// Frames a worker serves in one stint before yielding the connection
-/// back to a non-empty queue — the fairness bound that keeps one
-/// streaming client from starving the rest.
-const STINT_FRAMES: usize = 64;
-
-/// Wall-clock bound on a stint while other connections wait. Frames
-/// have wildly different costs (a `QUERY` routes in microseconds, a
-/// `MOVE` republishes a whole epoch in milliseconds), so fairness
-/// must be priced in time too: one expensive frame ends the stint.
-const STINT_BUDGET: Duration = Duration::from_millis(5);
-
-/// Recovers a mutex guard even from a poisoned lock — a worker that
-/// panicked while holding the queue must not wedge the others.
+/// Recovers a mutex guard even from a poisoned lock — a connection
+/// thread that panicked while holding the slot pool must not wedge the
+/// others.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// [`Condvar::wait_timeout`] with the same poison recovery.
-fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
     }
 }
 
@@ -108,14 +82,14 @@ fn wait_timeout_recover<'a, T>(
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker pool size (floored at 1).
+    /// Routing slot count (floored at 1): how many connections are
+    /// answered at once.
     pub threads: usize,
     /// Telemetry JSONL path; `None` disables the exporter thread.
     pub telemetry: Option<String>,
     /// Interval between telemetry JSONL lines.
     pub telemetry_interval: Duration,
-    /// How long workers keep draining open connections after shutdown
-    /// begins.
+    /// How long connections keep being served after shutdown begins.
     pub drain_timeout: Duration,
 }
 
@@ -132,7 +106,7 @@ impl ServeConfig {
         }
     }
 
-    /// An ephemeral-port loopback configuration with `threads` workers
+    /// An ephemeral-port loopback configuration with `threads` slots
     /// and no telemetry export — the test/bench shape.
     pub fn ephemeral(threads: usize) -> ServeConfig {
         ServeConfig {
@@ -152,7 +126,8 @@ impl ServeConfig {
     }
 }
 
-/// State shared by the accept loop, the workers, and the handle.
+/// State shared by the accept loop, the connection threads, and the
+/// handle.
 struct Shared {
     service: Arc<RoutingService>,
     /// The pristine epoch-0 topology: chaos re-degrades from here
@@ -164,8 +139,6 @@ struct Shared {
     telemetry: Telemetry,
     // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
     stop: AtomicBool,
-    queue: Mutex<VecDeque<Conn>>,
-    ready: Condvar,
     addr: SocketAddr,
     drain_timeout: Duration,
     drain_deadline: Mutex<Option<Instant>>,
@@ -176,10 +149,9 @@ impl Shared {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Flips the server into draining: deadline first (so no worker
-    /// can observe `stop` without one), then the flag, then wake
-    /// everyone — including the accept loop, via a throwaway loopback
-    /// connection.
+    /// Flips the server into draining: deadline first (so no thread can
+    /// observe `stop` without one), then the flag, then wake the accept
+    /// loop with a throwaway loopback connection.
     fn begin_shutdown(&self) {
         {
             let mut deadline = lock_recover(&self.drain_deadline);
@@ -190,7 +162,6 @@ impl Shared {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.ready.notify_all();
         drop(TcpStream::connect(self.addr));
     }
 
@@ -265,36 +236,26 @@ pub fn serve_with(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let workers = cfg.threads.max(1);
+    let slots = cfg.threads.max(1);
     let nodes = base.len();
     let shared = Arc::new(Shared {
         service,
         base,
         nodes,
-        telemetry: Telemetry::new(workers),
+        telemetry: Telemetry::new(slots),
         // sp-analyze: allow(concurrency, the server's stop flag is a single watched bool, not a work-sharing cursor)
         stop: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
         addr,
         drain_timeout: cfg.drain_timeout,
         drain_deadline: Mutex::new(None),
     });
-    let mut threads = Vec::with_capacity(workers + 2);
-    for w in 0..workers {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("sp-serve-worker-{w}"))
-                .spawn(move || worker_loop(&shared, w))?,
-        );
-    }
+    let mut threads = Vec::with_capacity(2);
     {
         let shared = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
                 .name("sp-serve-accept".to_owned())
-                .spawn(move || accept_loop(&shared, listener))?,
+                .spawn(move || accept_loop(&shared, listener, slots))?,
         );
     }
     if let Some(path) = cfg.telemetry.clone() {
@@ -313,178 +274,156 @@ pub fn serve_with(
     })
 }
 
-/// Accepts connections into the worker queue until shutdown. The
-/// throwaway wake connection from [`Shared::begin_shutdown`]
-/// guarantees `accept` returns one last time so the stop check runs.
-fn accept_loop(shared: &Shared, listener: TcpListener) {
-    for conn in listener.incoming() {
-        if shared.stopping() {
-            break;
+/// One routing slot: everything answering a frame needs beyond the
+/// connection's own buffers.
+struct Slot<'s> {
+    session: ServiceSession<'s>,
+    /// The decoded `MOVE` batch, reused across frames.
+    moves: Vec<(NodeId, Point)>,
+    /// This slot's telemetry cell.
+    cell: usize,
+}
+
+/// The server's fixed set of slots; free ones wait on a stack.
+struct SlotPool<'s> {
+    free: Mutex<Vec<Slot<'s>>>,
+    returned: Condvar,
+}
+
+impl<'s> SlotPool<'s> {
+    fn new(service: &'s RoutingService, slots: usize) -> SlotPool<'s> {
+        let free = (0..slots)
+            .map(|cell| Slot {
+                session: service.session(),
+                moves: Vec::new(),
+                cell,
+            })
+            .collect();
+        SlotPool {
+            free: Mutex::new(free),
+            returned: Condvar::new(),
         }
-        if let Ok(stream) = conn {
+    }
+
+    /// Takes a free slot, waiting for one to be returned if all are
+    /// busy. Slot holders never wait on a socket, so the wait is short.
+    fn take(&self) -> Slot<'s> {
+        let mut free = lock_recover(&self.free);
+        loop {
+            if let Some(slot) = free.pop() {
+                return slot;
+            }
+            free = match self.returned.wait(free) {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+        }
+    }
+
+    fn put(&self, slot: Slot<'s>) {
+        lock_recover(&self.free).push(slot);
+        self.returned.notify_one();
+    }
+}
+
+/// Spawns one thread per accepted connection until shutdown, then
+/// waits for every connection thread to drain. The throwaway wake
+/// connection from [`Shared::begin_shutdown`] guarantees `accept`
+/// returns one last time so the stop check runs.
+fn accept_loop(shared: &Shared, listener: TcpListener, slots: usize) {
+    let pool = SlotPool::new(&shared.service, slots);
+    let pool = &pool;
+    // sp-analyze: allow(concurrency, connection threads borrow the slot pool, whose sessions borrow the service; only a scope lets them)
+    std::thread::scope(|s| {
+        for conn in listener.incoming() {
+            if shared.stopping() {
+                break;
+            }
+            let Ok(stream) = conn else { continue };
             drop(stream.set_nodelay(true));
             if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
                 continue;
             }
-            lock_recover(&shared.queue).push_back(Conn {
-                stream,
-                reader: FrameReader::new(),
-                timeout: POLL_INTERVAL,
-            });
-            shared.ready.notify_one();
+            // If the OS refuses the thread, the closure is dropped and
+            // the stream with it: the connection closes.
+            drop(
+                std::thread::Builder::new()
+                    .name("sp-serve-conn".to_owned())
+                    .spawn_scoped(s, move || serve_conn(shared, pool, stream)),
+            );
         }
-    }
-    // Already-queued connections still get served; wake everyone so
-    // idle workers notice the flag.
-    shared.ready.notify_all();
+    });
 }
 
-/// A queued connection: the socket plus its framing state, which must
-/// travel with it — a frame split across reads may be completed by a
-/// different worker than the one that started it.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    /// The read timeout currently set on the socket, cached so stints
-    /// only pay the `setsockopt` when crowding actually changes.
-    timeout: Duration,
-}
-
-/// Per-worker reusable buffers: response scratch, the decoded `MOVE`
-/// batch, and the read chunk. Reused across every connection and
-/// request the worker serves.
-struct ConnScratch {
-    out: Vec<u8>,
-    moves: Vec<(NodeId, Point)>,
-    chunk: Vec<u8>,
-}
-
-/// How a stint ended: the connection is finished (EOF, transport
-/// error, framing error, drain deadline) or merely idle while others
-/// wait — put it back in the queue.
-enum Stint {
-    Closed,
-    Yield,
-}
-
-/// One worker: pops connections off the shared queue and serves each
-/// in stints with its own long-lived [`ServiceSession`], requeueing
-/// connections that went idle while others wait.
-fn worker_loop(shared: &Shared, w: usize) {
-    let mut session = shared.service.session();
-    let mut scratch = ConnScratch {
-        out: Vec::new(),
-        moves: Vec::new(),
-        chunk: vec![0u8; READ_CHUNK],
-    };
+/// Serves one connection until EOF, a transport error, a framing-level
+/// protocol error, or the post-shutdown drain deadline. Replies are
+/// written, and the socket read, with no slot held.
+fn serve_conn(shared: &Shared, pool: &SlotPool<'_>, mut stream: TcpStream) {
+    let mut reader = FrameReader::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut out = Vec::new();
+    let mut replies = Vec::new();
     loop {
-        let conn = {
-            let mut queue = lock_recover(&shared.queue);
-            loop {
-                if let Some(c) = queue.pop_front() {
-                    break Some(c);
-                }
-                if shared.stopping() {
-                    break None;
-                }
-                queue = wait_timeout_recover(&shared.ready, queue, POLL_INTERVAL);
-            }
-        };
-        let Some(mut conn) = conn else { return };
-        match serve_stint(shared, &mut session, &mut scratch, &mut conn, w) {
-            Stint::Closed => {}
-            Stint::Yield => {
-                lock_recover(&shared.queue).push_back(conn);
-                shared.ready.notify_one();
-            }
+        let open = answer_buffered(shared, pool, &mut reader, &mut out, &mut replies);
+        if stream.write_all(&replies).is_err() || !open {
+            return;
         }
-    }
-}
-
-/// Serves one connection until it closes (EOF, transport error,
-/// framing-level protocol error, or the post-shutdown drain deadline)
-/// or until it idles while other connections are waiting — the
-/// multiplexing that lets a fixed pool serve any number of concurrent
-/// connections without starvation.
-fn serve_stint(
-    shared: &Shared,
-    session: &mut ServiceSession<'_>,
-    scratch: &mut ConnScratch,
-    conn: &mut Conn,
-    w: usize,
-) -> Stint {
-    let ConnScratch { out, moves, chunk } = scratch;
-    let mut served = 0usize;
-    let started = Instant::now();
-    loop {
-        // Drain every complete frame already buffered.
-        loop {
-            match conn.reader.next_frame() {
-                Ok(Some(frame)) => {
-                    let flow = dispatch(shared, session, frame, out, moves, w);
-                    if write_frame(&mut conn.stream, out).is_err() {
-                        return Stint::Closed;
-                    }
-                    if matches!(flow, Flow::Shutdown) {
-                        shared.begin_shutdown();
-                    }
-                    served += 1;
-                }
-                Ok(None) => break,
-                Err(err) => {
-                    // The byte stream can no longer be framed: report
-                    // the named error and close.
-                    shared.telemetry.with(w, |c| c.record_protocol_error());
-                    encode_error(out, 0, err);
-                    drop(write_frame(&mut conn.stream, out));
-                    return Stint::Closed;
-                }
-            }
-        }
+        replies.clear();
         if shared.stopping() && shared.drain_expired() {
-            return Stint::Closed;
+            return;
         }
-        let crowded = !lock_recover(&shared.queue).is_empty();
-        if crowded && (served >= STINT_FRAMES || started.elapsed() >= STINT_BUDGET) {
-            return Stint::Yield;
-        }
-        let want = if crowded {
-            ROTATE_TIMEOUT
-        } else {
-            POLL_INTERVAL
-        };
-        if conn.timeout != want {
-            if conn.stream.set_read_timeout(Some(want)).is_err() {
-                return Stint::Closed;
-            }
-            conn.timeout = want;
-        }
-        match conn.stream.read(chunk) {
-            Ok(0) => return Stint::Closed,
-            Ok(n) => conn.reader.extend(chunk.get(..n).unwrap_or(&[])),
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => reader.extend(chunk.get(..n).unwrap_or(&[])),
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock
                         | std::io::ErrorKind::TimedOut
                         | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                // Idle: keep waiting if this connection has the pool
-                // to itself, otherwise hand it back and serve others.
-                if crowded {
-                    return Stint::Yield;
-                }
-            }
-            Err(_) => return Stint::Closed,
+                ) => {}
+            Err(_) => return,
         }
     }
 }
 
-/// What the connection loop does after answering a frame.
-enum Flow {
-    Continue,
-    Shutdown,
+/// Answers every complete frame buffered in `reader`, appending each
+/// framed reply to `replies`. Takes a slot at the first complete frame
+/// and returns it before this function does. Returns `false` when the
+/// byte stream can no longer be framed; the named error is then the
+/// last reply.
+fn answer_buffered(
+    shared: &Shared,
+    pool: &SlotPool<'_>,
+    reader: &mut FrameReader,
+    out: &mut Vec<u8>,
+    replies: &mut Vec<u8>,
+) -> bool {
+    let mut slot = None;
+    let open = loop {
+        let open = match reader.next_frame() {
+            Ok(None) => break true,
+            Ok(Some(frame)) => {
+                dispatch(shared, slot.get_or_insert_with(|| pool.take()), frame, out);
+                true
+            }
+            Err(err) => {
+                let cell = slot.get_or_insert_with(|| pool.take()).cell;
+                shared.telemetry.with(cell, |c| c.record_protocol_error());
+                encode_error(out, 0, err);
+                false
+            }
+        };
+        // Writing into a `Vec` cannot fail.
+        drop(write_frame(replies, out));
+        if !open {
+            break false;
+        }
+    };
+    if let Some(slot) = slot {
+        pool.put(slot);
+    }
+    open
 }
 
 /// A decoded `QUERY` frame's fields, bundled to keep the hot-path
@@ -497,20 +436,19 @@ struct QueryFrame {
 }
 
 /// Decodes one frame and encodes its response into `out`.
-fn dispatch(
-    shared: &Shared,
-    session: &mut ServiceSession<'_>,
-    frame: &[u8],
-    out: &mut Vec<u8>,
-    moves: &mut Vec<(NodeId, Point)>,
-    w: usize,
-) -> Flow {
+fn dispatch(shared: &Shared, slot: &mut Slot<'_>, frame: &[u8], out: &mut Vec<u8>) {
+    let Slot {
+        session,
+        moves,
+        cell,
+    } = slot;
+    let cell = *cell;
     let req = match decode_request(frame) {
         Ok(req) => req,
         Err(err) => {
-            shared.telemetry.with(w, |c| c.record_protocol_error());
+            shared.telemetry.with(cell, |c| c.record_protocol_error());
             encode_error(out, 0, err);
-            return Flow::Continue;
+            return;
         }
     };
     match req {
@@ -519,21 +457,18 @@ fn dispatch(
             dst,
             scheme,
             trace,
-        } => {
-            serve_query(
-                shared,
-                session,
-                out,
-                QueryFrame {
-                    src,
-                    dst,
-                    scheme_code: scheme,
-                    trace,
-                },
-                w,
-            );
-            Flow::Continue
-        }
+        } => serve_query(
+            shared,
+            session,
+            out,
+            QueryFrame {
+                src,
+                dst,
+                scheme_code: scheme,
+                trace,
+            },
+            cell,
+        ),
         Request::Move(batch) => {
             moves.clear();
             let mut bad = None;
@@ -555,58 +490,50 @@ fn dispatch(
                 moves.push((NodeId(node), Point::new(x, y)));
             }
             if let Some(err) = bad {
-                shared.telemetry.with(w, |c| c.record_protocol_error());
+                shared.telemetry.with(cell, |c| c.record_protocol_error());
                 encode_error(out, OP_MOVE, err);
-                return Flow::Continue;
+                return;
             }
             let epoch = shared.service.apply_moves(moves);
             shared
                 .telemetry
-                .with(w, |c| c.record_move(moves.len() as u64));
+                .with(cell, |c| c.record_move(moves.len() as u64));
             encode_epoch_ok(out, OP_MOVE, epoch, moves.len() as u32);
-            Flow::Continue
         }
-        Request::Chaos { round, seed, spec } => {
-            match ChaosRecipe::parse(spec) {
-                Ok(recipe) => {
-                    let plan = recipe.build(&shared.base, seed);
-                    let epoch = shared
-                        .service
-                        .apply_chaos(&shared.base, &plan, round as usize);
-                    shared.telemetry.with(w, |c| c.record_chaos());
-                    encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
-                }
-                Err(_) => {
-                    shared.telemetry.with(w, |c| c.record_protocol_error());
-                    encode_error(
-                        out,
-                        OP_CHAOS,
-                        ProtocolError::new(ProtocolErrorKind::BadSpec, spec.len() as u64),
-                    );
-                }
+        Request::Chaos { round, seed, spec } => match ChaosRecipe::parse(spec) {
+            Ok(recipe) => {
+                let plan = recipe.build(&shared.base, seed);
+                let epoch = shared
+                    .service
+                    .apply_chaos(&shared.base, &plan, round as usize);
+                shared.telemetry.with(cell, |c| c.record_chaos());
+                encode_epoch_ok(out, OP_CHAOS, epoch, recipe.clauses.len() as u32);
             }
-            Flow::Continue
-        }
+            Err(_) => {
+                shared.telemetry.with(cell, |c| c.record_protocol_error());
+                encode_error(
+                    out,
+                    OP_CHAOS,
+                    ProtocolError::new(ProtocolErrorKind::BadSpec, spec.len() as u64),
+                );
+            }
+        },
         Request::Stats => {
             let snap = shared.telemetry.aggregate();
             encode_stats_ok(out, shared.service.epoch(), &snap);
-            Flow::Continue
         }
-        Request::Info => {
-            encode_info_ok(
-                out,
-                shared.service.epoch(),
-                shared.nodes as u32,
-                shared.telemetry.workers() as u32,
-            );
-            Flow::Continue
-        }
+        Request::Info => encode_info_ok(
+            out,
+            shared.service.epoch(),
+            shared.nodes as u32,
+            shared.telemetry.workers() as u32,
+        ),
         Request::Shutdown => {
-            // Acknowledge first; the caller flips the stop flag after
-            // this response is on the wire, so the requester always
-            // hears back.
+            // Stop first, acknowledge after: a requester that hears
+            // back always finds the server stopping, and it still hears
+            // back because the drain deadline is seconds away.
+            shared.begin_shutdown();
             encode_shutdown_ok(out, shared.service.epoch());
-            Flow::Shutdown
         }
     }
 }
@@ -615,16 +542,16 @@ fn dispatch(
 /// pinned snapshot, encode (with the hop trace borrowed straight from
 /// the session's reused route buffer when requested), record
 /// telemetry. On the `sp-analyze` hot-function manifest: allocates
-/// nothing once the worker's buffers are warm.
+/// nothing once the slot's and connection's buffers are warm.
 fn serve_query(
     shared: &Shared,
     session: &mut ServiceSession<'_>,
     out: &mut Vec<u8>,
     q: QueryFrame,
-    w: usize,
+    cell: usize,
 ) {
     let Some(scheme) = ServiceScheme::from_code(q.scheme_code) else {
-        shared.telemetry.with(w, |c| c.record_protocol_error());
+        shared.telemetry.with(cell, |c| c.record_protocol_error());
         encode_error(
             out,
             OP_QUERY,
@@ -638,7 +565,7 @@ fn serve_query(
         } else {
             q.src
         };
-        shared.telemetry.with(w, |c| c.record_protocol_error());
+        shared.telemetry.with(cell, |c| c.record_protocol_error());
         encode_error(
             out,
             OP_QUERY,
@@ -662,7 +589,7 @@ fn serve_query(
     } else {
         encode_query_ok(out, &wire, None);
     }
-    shared.telemetry.with(w, |c| {
+    shared.telemetry.with(cell, |c| {
         c.record_query(a.delivered(), a.hops, q.trace, latency)
     });
 }

@@ -1,18 +1,19 @@
-//! Lock-light serving telemetry: per-worker counter cells aggregated
-//! on demand into a [`StatsSnapshot`].
+//! Lock-light serving telemetry: one counter cell per routing slot,
+//! aggregated on demand into a [`StatsSnapshot`].
 //!
-//! Each worker owns one [`WorkerTelemetry`] cell behind its own
-//! `Mutex` — the hot query path locks only its own uncontended cell
-//! (a few nanoseconds), never a shared one, so telemetry cannot
-//! serialize the worker pool. `STATS` requests and the periodic JSONL
-//! exporter call [`Telemetry::aggregate`], which sweeps the cells one
-//! short lock at a time.
+//! Each slot owns one [`WorkerTelemetry`] cell behind its own `Mutex`
+//! — the hot query path locks only the cell of the slot it holds (a
+//! few nanoseconds, uncontended), never a shared one, so telemetry
+//! cannot serialize the slot pool. `STATS` requests and the periodic
+//! JSONL exporter call [`Telemetry::aggregate`], which sweeps the cells
+//! one short lock at a time.
 //!
-//! Latency percentiles come from a bounded per-worker reservoir
+//! Latency percentiles come from a bounded per-cell reservoir
 //! (Algorithm R, [`RESERVOIR_CAP`] samples): constant memory under
 //! unbounded load, and the steady-state record path stops allocating
 //! once each reservoir reaches capacity.
 
+use sp_metrics::percentile;
 use std::io::Write;
 use std::sync::{Mutex, MutexGuard};
 
@@ -20,7 +21,7 @@ use std::sync::{Mutex, MutexGuard};
 /// everything longer.
 pub const HOP_BUCKETS: usize = 33;
 
-/// Per-worker latency reservoir capacity.
+/// Per-cell latency reservoir capacity.
 pub const RESERVOIR_CAP: usize = 4096;
 
 /// Recovers a mutex guard even from a poisoned lock: counters stay
@@ -33,7 +34,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// One worker's counters. Updated only by its owning worker, read by
+/// One slot's counters. Updated only by whoever holds the slot, read by
 /// aggregation sweeps.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
@@ -128,10 +129,10 @@ impl WorkerTelemetry {
     }
 }
 
-/// The aggregated view of every worker's counters at one sweep.
+/// The aggregated view of every cell's counters at one sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsSnapshot {
-    /// Worker cells aggregated.
+    /// Cells aggregated (one per slot).
     pub workers: u32,
     /// Total `QUERY` requests answered.
     pub queries: u64,
@@ -205,26 +206,14 @@ impl StatsSnapshot {
     }
 }
 
-/// Nearest-rank percentile over a sorted sample (mirrors
-/// `sp_bench::LatencyStats`; duplicated so the server does not pull
-/// the bench harness into its dependency tree).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    let idx = rank.clamp(1, sorted.len()) - 1;
-    sorted.get(idx).copied().unwrap_or(0.0)
-}
-
-/// The server's telemetry: one [`WorkerTelemetry`] cell per worker.
+/// The server's telemetry: one [`WorkerTelemetry`] cell per slot.
 #[derive(Debug)]
 pub struct Telemetry {
     cells: Vec<Mutex<WorkerTelemetry>>,
 }
 
 impl Telemetry {
-    /// One cell per worker.
+    /// One cell per slot.
     pub fn new(workers: usize) -> Telemetry {
         Telemetry {
             cells: (0..workers)
@@ -233,14 +222,14 @@ impl Telemetry {
         }
     }
 
-    /// Worker cell count.
+    /// Cell count (the slot count).
     pub fn workers(&self) -> usize {
         self.cells.len()
     }
 
-    /// Runs `f` against worker `w`'s cell under its (uncontended)
-    /// lock. Out-of-range workers are ignored — telemetry never
-    /// panics the serving path.
+    /// Runs `f` against cell `w` under its (uncontended) lock.
+    /// Out-of-range cells are ignored — telemetry never panics the
+    /// serving path.
     pub fn with(&self, w: usize, f: impl FnOnce(&mut WorkerTelemetry)) {
         if let Some(cell) = self.cells.get(w) {
             f(&mut lock_recover(cell));
@@ -272,9 +261,9 @@ impl Telemetry {
             pooled.extend_from_slice(&cell.reservoir);
         }
         pooled.sort_by(f64::total_cmp);
-        snap.latency_p50 = percentile(&pooled, 50.0);
-        snap.latency_p95 = percentile(&pooled, 95.0);
-        snap.latency_p99 = percentile(&pooled, 99.0);
+        snap.latency_p50 = percentile(&pooled, 0.50);
+        snap.latency_p95 = percentile(&pooled, 0.95);
+        snap.latency_p99 = percentile(&pooled, 0.99);
         snap
     }
 
@@ -359,14 +348,5 @@ mod tests {
         let t = Telemetry::new(1);
         t.with(5, |c| c.record_chaos());
         assert_eq!(t.aggregate().chaos_batches, 0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50.0);
-        assert_eq!(percentile(&sorted, 95.0), 95.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 }

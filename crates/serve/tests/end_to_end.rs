@@ -8,8 +8,11 @@
 use sp_core::ServiceScheme;
 use sp_geom::Point;
 use sp_net::{deploy::DeploymentConfig, Network, NodeId};
-use sp_serve::{serve, ServeClient, ServeConfig};
+use sp_serve::wire::{decode_response, encode_query, write_frame, FrameReader};
+use sp_serve::{serve, Response, ServeClient, ServeConfig};
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -75,9 +78,9 @@ fn assert_path_valid(net: &Network, src: u32, dst: u32, delivered: bool, path: &
 #[test]
 fn concurrent_clients_stay_consistent_under_churn() {
     let base = make_net(300, 11);
-    // Two workers, three client connections: more connections than
-    // workers, so this also holds the stint multiplexing to account —
-    // every connection must keep making progress.
+    // Two slots, three client connections: more connections than
+    // slots, so this also holds the slot pool to account — every
+    // connection must keep making progress.
     let handle = serve(base.clone(), ServeConfig::ephemeral(2)).expect("bind");
     let service = handle.service().clone();
     let nets: Mutex<HashMap<u64, Network>> = Mutex::new(HashMap::from([(0, base.clone())]));
@@ -257,6 +260,88 @@ fn shutdown_drains_open_connections() {
         Instant::now() < joined_by,
         "join returned promptly after EOF"
     );
+}
+
+/// The acknowledgement is written only after the stop flag flips, so
+/// a requester that hears back always finds the server stopping.
+/// Repeated on fresh servers because an ack written before the stop
+/// loses this race only now and then.
+#[test]
+fn shutdown_ack_never_outruns_the_stop() {
+    let base = make_net(40, 37);
+    for round in 0..200 {
+        let handle = serve(base.clone(), ServeConfig::ephemeral(1)).expect("bind");
+        let mut client = ServeClient::connect(handle.addr()).expect("connect");
+        client.shutdown().expect("shutdown acknowledged");
+        assert!(
+            handle.stopping(),
+            "round {round}: ack arrived before the stop"
+        );
+        drop(client);
+        handle.join();
+    }
+}
+
+/// The slot invariant: a connection holds a slot only while it answers
+/// complete frames, never while it waits on its socket. On a single
+/// slot, a connection stalled halfway through a frame must not hold up
+/// another connection's queries and `MOVE`, and it still gets the
+/// right reply once its frame completes.
+#[test]
+fn a_stalled_half_frame_never_holds_the_only_slot() {
+    let base = make_net(200, 61);
+    let handle = serve(base.clone(), ServeConfig::ephemeral(1)).expect("bind");
+    let nodes = base.len() as u32;
+
+    let mut payload = Vec::new();
+    encode_query(&mut payload, 3, 150, ServiceScheme::Slgf2.code(), true);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("frame into a Vec");
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+    stalled.write_all(head).expect("send half a frame");
+
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    for k in 0..100u32 {
+        client
+            .query(k % nodes, (k * 7 + 1) % nodes, ServiceScheme::Slgf2, false)
+            .expect("query answered while another connection stalls");
+    }
+    let p = base.position(NodeId(5));
+    let (epoch, applied) = client
+        .move_batch(&[(5, (p.x + 1.0).min(base.area().max().x), p.y)])
+        .expect("move answered while another connection stalls");
+    assert_eq!((epoch, applied), (1, 1));
+
+    stalled.write_all(tail).expect("complete the frame");
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 1024];
+    let reply = loop {
+        if let Some(frame) = reader.next_frame().expect("server frames are well-formed") {
+            break decode_response(frame).expect("decodable reply");
+        }
+        let n = stalled.read(&mut buf).expect("read");
+        assert!(n > 0, "connection closed before the reply");
+        reader.extend(&buf[..n]);
+    };
+    let Response::Query(reply) = reply else {
+        panic!("expected a QUERY reply, got {reply:?}");
+    };
+    let service = handle.service();
+    let mut session = service.session();
+    let want = session.route_with(ServiceScheme::Slgf2, NodeId(3), NodeId(150));
+    assert_eq!(reply.epoch, 1, "answered on the epoch the MOVE published");
+    assert_eq!(reply.epoch, want.epoch);
+    assert_eq!(reply.outcome, want.outcome);
+    assert_eq!(reply.hops as usize, want.hops);
+    assert_eq!(reply.path.as_deref(), Some(session.last_path()));
+
+    let stats = handle.stats();
+    assert_eq!((stats.queries, stats.move_batches), (101, 1));
+
+    handle.shutdown();
+    drop((client, stalled));
+    handle.join();
 }
 
 /// `STATS` agree with an external tally across two clients, and the

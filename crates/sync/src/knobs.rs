@@ -67,8 +67,9 @@ pub const ENV_KNOBS: &[EnvKnob] = &[
     },
     EnvKnob {
         name: "SP_SERVE_THREADS",
-        summary: "Worker threads in the `sp-serve` TCP front end's connection pool \
-                  (one `ServiceSession` + reused route buffer per worker).",
+        summary: "Routing slots in the `sp-serve` TCP front end: how many connections \
+                  are answered at once (one `ServiceSession` + reused route buffer per \
+                  slot; every connection has its own thread).",
         default: "available parallelism",
     },
     EnvKnob {

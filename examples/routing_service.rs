@@ -88,7 +88,7 @@ fn main() {
                         let Some(&(src, dst)) = queries.get(i) else {
                             break;
                         };
-                        let a = session.route(src, dst);
+                        let a = session.route_with(ServiceScheme::Slgf2, src, dst);
                         // The invariant this smoke test exists to hold
                         // under real scheduling: an answer can never be
                         // stamped with an epoch the service has not

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use sp_core::{
         construct_distributed, explain_route, Hand, InfoMaintainer, LgfRouter, RouteOutcome,
         RoutePhase, RouteResult, Routing, RoutingService, SafetyInfo, SafetyTuple, ServiceAnswer,
-        Slgf2Router, SlgfRouter,
+        ServiceScheme, Slgf2Router, SlgfRouter,
     };
     pub use sp_geom::{Point, Quadrant, Rect};
     pub use sp_net::{
