@@ -1,7 +1,9 @@
 //! The mobility re-snapshot hot path (ROADMAP "parallel + incremental
 //! SpatialIndex"): incremental topology repair versus a full rebuild
-//! when a small fraction of nodes moves, and row-sharded parallel bulk
-//! adjacency versus the serial scan at 10⁵ nodes.
+//! when a small fraction of nodes moves, row-sharded parallel bulk
+//! adjacency versus the serial scan at 10⁵ nodes, and the Definition-1
+//! relabeling (`SafetyMap::label`, hull pinning included) every
+//! published epoch pays, at 10⁴ and 10⁵ nodes.
 //!
 //! Deployments keep the paper's density (radius 20 m, ~500 nodes per
 //! 200 m × 200 m) while the area grows with `n`. The measured
@@ -17,6 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{sample_stats, SampleStats};
+use sp_core::SafetyMap;
 use sp_geom::Point;
 use sp_net::{DeploymentConfig, Network, NodeId, SpatialIndex};
 use std::time::Instant;
@@ -27,6 +30,8 @@ const SNAPSHOT_N: usize = 10_000;
 const MOVER_FRACTION: f64 = 0.01;
 /// Node count for the serial-vs-parallel adjacency comparison.
 const ADJACENCY_N: usize = 100_000;
+/// Node counts of the relabeling rows, with their timed run counts.
+const LABEL_SIZES: [(usize, usize); 2] = [(10_000, 15), (100_000, 7)];
 
 /// The paper's density at scale `n` (area grows with the node count).
 fn deployment(n: usize) -> DeploymentConfig {
@@ -172,10 +177,34 @@ fn adjacency_benches(c: &mut Criterion, rows: &mut Vec<String>) {
     group.finish();
 }
 
+fn labeling_benches(c: &mut Criterion, rows: &mut Vec<String>) {
+    let mut group = c.benchmark_group("labeling");
+    group.sample_size(10);
+    for (n, runs) in LABEL_SIZES {
+        let cfg = deployment(n);
+        let net = Network::from_positions(cfg.deploy_uniform(0), cfg.radius, cfg.area);
+        let rounds = SafetyMap::label(&net).rounds();
+        let label_s = sample_stats(runs, || SafetyMap::label(&net));
+        eprintln!(
+            "n={n}: label {:.2} ms ({rounds} rounds)",
+            label_s.median * 1e3
+        );
+        rows.push(format!(
+            "    {{\"case\": \"label\", \"n\": {n}, \"rounds\": {rounds}, {}}}",
+            label_s.json_fields("time")
+        ));
+        group.bench_function(BenchmarkId::new("label", n), |b| {
+            b.iter(|| SafetyMap::label(&net));
+        });
+    }
+    group.finish();
+}
+
 fn mobility_benches(c: &mut Criterion) {
     let mut rows = Vec::new();
     snapshot_benches(c, &mut rows);
     adjacency_benches(c, &mut rows);
+    labeling_benches(c, &mut rows);
 
     let json = format!(
         "{{\n  \"benchmark\": \"mobility_snapshot\",\n  \"unit\": \"seconds (median over samples)\",\n  \"results\": [\n{}\n  ]\n}}\n",

@@ -7,9 +7,21 @@
 //!
 //! The update is monotone (bits only flip safe → unsafe), so iterating
 //! from `(1,1,1,1)` everywhere converges to the *greatest* fixed point.
-//! We iterate in synchronous (Jacobi) sweeps, mirroring the paper's
-//! round-based system, so the reported round count is comparable with the
-//! distributed protocol in [`crate::distributed`].
+//! Every type-`q` step strictly increases `s_x·x + s_y·y` for the sign
+//! pair of `q`, so the type-`q` zone graph is acyclic and that fixed
+//! point is exactly "can reach a pinned node through type-`q` steps".
+//!
+//! [`SafetyMap::label_with_pinned`] computes it in one linear pass by
+//! counting successors: each `(u, q)` starts with the number of
+//! neighbors in `Q_q(u)`; an unpinned pair whose count is zero turns
+//! unsafe, and each flip decrements the counts of the pairs that had it
+//! as a successor. Flips are processed frontier by frontier, so frontier
+//! `r` holds exactly the statuses the paper's synchronous round-based
+//! system flips in round `r` (a status flips one round after its last
+//! successor). [`SafetyMap::rounds`] is therefore the paper's round
+//! count, comparable with the distributed protocol in
+//! [`crate::distributed`], while the work is `O(n + |E|)` rather than
+//! one full sweep per round.
 //!
 //! Edge nodes of the interest area are *pinned* to `(1,1,1,1)` (§3: "each
 //! edge node will always keep its status tuple as (1,1,1,1)"), preventing
@@ -44,34 +56,51 @@ impl SafetyMap {
     pub fn label_with_pinned(net: &Network, pinned: Vec<bool>) -> SafetyMap {
         assert_eq!(pinned.len(), net.len(), "pinned mask must cover all nodes");
         let n = net.len();
-        let mut tuples = vec![SafetyTuple::all_safe(); n];
-        let mut rounds = 0;
-        loop {
-            let mut next = tuples.clone();
-            let mut changed = false;
-            for u in net.node_ids() {
-                if pinned[u.index()] {
-                    continue;
+        let slot = |u: NodeId, q: Quadrant| 4 * u.index() + q.array_index();
+        // safe_successors[slot(u, q)]: neighbors in Q_q(u) still safe in q.
+        let mut safe_successors = vec![0u32; 4 * n];
+        for u in net.node_ids() {
+            let pu = net.position(u);
+            for &v in net.neighbors(u) {
+                if let Some(q) = Quadrant::of(pu, net.position(v)) {
+                    safe_successors[slot(u, q)] += 1;
                 }
-                let pu = net.position(u);
-                for q in Quadrant::ALL {
-                    if !tuples[u.index()].is_safe(q) {
+            }
+        }
+        let mut tuples = vec![SafetyTuple::all_safe(); n];
+        let mut frontier = Vec::new();
+        for u in net.node_ids().filter(|u| !pinned[u.index()]) {
+            for q in Quadrant::ALL {
+                if safe_successors[slot(u, q)] == 0 {
+                    tuples[u.index()].mark_unsafe(q);
+                    frontier.push((u, q));
+                }
+            }
+        }
+        // Frontier r holds the statuses round r flips. The graph is
+        // undirected, so the nodes that have v in a forwarding zone are
+        // among v's own neighbors, and each such edge decrements a count
+        // exactly once: a count reaches zero only at its last successor.
+        let mut next = Vec::new();
+        let mut rounds = 0;
+        while !frontier.is_empty() {
+            rounds += 1;
+            for &(v, q) in &frontier {
+                let pv = net.position(v);
+                for &w in net.neighbors(v) {
+                    if pinned[w.index()] || Quadrant::of(net.position(w), pv) != Some(q) {
                         continue;
                     }
-                    let has_safe_forward = net.neighbors(u).iter().any(|&v| {
-                        Quadrant::of(pu, net.position(v)) == Some(q) && tuples[v.index()].is_safe(q)
-                    });
-                    if !has_safe_forward {
-                        next[u.index()].mark_unsafe(q);
-                        changed = true;
+                    let count = &mut safe_successors[slot(w, q)];
+                    *count -= 1;
+                    if *count == 0 {
+                        tuples[w.index()].mark_unsafe(q);
+                        next.push((w, q));
                     }
                 }
             }
-            if !changed {
-                break;
-            }
-            tuples = next;
-            rounds += 1;
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
         SafetyMap {
             tuples,

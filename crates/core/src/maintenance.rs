@@ -183,8 +183,9 @@ impl InfoMaintainer {
     /// statuses can flip unsafe → safe, so the cheap worklist repair
     /// does not apply. The labeling is recomputed from scratch on the
     /// new ghost network; the method exists for API completeness (node
-    /// redeployments, battery swaps) and its cost is one full rebuild.
-    /// Reviving a live node is a no-op.
+    /// redeployments, battery swaps) and its cost is one full rebuild,
+    /// which [`SafetyMap::label_with_pinned`] does in time linear in
+    /// nodes plus edges. Reviving a live node is a no-op.
     pub fn revive(&mut self, node: NodeId) {
         if !self.dead[node.index()] {
             return;

@@ -39,6 +39,7 @@ use sp_geom::Point;
 use sp_net::{Network, NodeId};
 use sp_sim::ChaosPlan;
 use sp_sync::{EpochCell, Pinned, WorkQueue};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The thread-count environment knob read by [`RoutingService::new`].
 pub const SERVICE_THREADS_ENV: &str = "SP_SERVICE_THREADS";
@@ -198,6 +199,10 @@ pub struct ServiceBatch {
 #[derive(Debug)]
 pub struct RoutingService {
     cell: EpochCell<ServiceSnapshot>,
+    // Held by every writer across load -> build -> publish, so two
+    // concurrent writers cannot both build on the same epoch and lose
+    // one batch. Readers never take it.
+    writer: Mutex<()>,
     threads: usize,
 }
 
@@ -213,6 +218,7 @@ impl RoutingService {
     pub fn from_snapshot(snapshot: ServiceSnapshot) -> RoutingService {
         RoutingService {
             cell: EpochCell::new(snapshot),
+            writer: Mutex::new(()),
             threads: sp_sync::configured_threads_for(SERVICE_THREADS_ENV),
         }
     }
@@ -246,12 +252,14 @@ impl RoutingService {
     /// side ([`Network::next_snapshot`]), relabels it, publishes the
     /// new epoch with one `Arc` swap, and returns the new epoch number.
     /// Readers pinned to earlier epochs are never blocked and never see
-    /// a half-built snapshot.
+    /// a half-built snapshot. Concurrent writers are serialized, so
+    /// every batch lands in its own epoch and none is lost.
     ///
     /// # Panics
     ///
     /// Panics if any moved id is out of range.
     pub fn apply_moves(&self, moves: &[(NodeId, Point)]) -> u64 {
+        let _writer = self.writer_lock();
         let current = self.cell.load();
         let next = current.value.network().next_snapshot(moves);
         self.cell.publish(ServiceSnapshot::build(next))
@@ -261,7 +269,15 @@ impl RoutingService {
     /// non-incremental handoff — e.g. a re-deployment). Returns the new
     /// epoch number.
     pub fn publish(&self, net: Network) -> u64 {
+        let _writer = self.writer_lock();
         self.cell.publish(ServiceSnapshot::build(net))
+    }
+
+    /// Takes the writer lock. It guards no data, only the order of
+    /// publishes, so a writer that panicked leaves nothing to repair
+    /// and the poison flag is ignored.
+    fn writer_lock(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Applies a chaos tick: degrades the **pristine** `base` topology
@@ -276,6 +292,7 @@ impl RoutingService {
     /// current snapshot no longer has them. Quiet plans still publish —
     /// an undamaged epoch, bit-identical to `publish(base.clone())`.
     pub fn apply_chaos(&self, base: &Network, chaos: &ChaosPlan, round: usize) -> u64 {
+        let _writer = self.writer_lock();
         let dead = chaos.dead_as_of(round);
         let mut degraded = base.without_nodes(&dead);
         let mut cut_edges = Vec::new();

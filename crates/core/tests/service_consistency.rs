@@ -16,6 +16,8 @@
 //!    same mobility schedule, `RoutingService::run_batch` answers are
 //!    bit-identical between serial and any thread count at every epoch
 //!    along the way.
+//! 3. **No lost writes** — concurrent `apply_moves` callers are
+//!    serialized, so every batch lands in an epoch of its own.
 
 use proptest::prelude::*;
 use sp_core::{RoutingService, ServiceAnswer, ServiceScheme, ServiceSnapshot};
@@ -232,4 +234,41 @@ fn from_snapshot_matches_new() {
     let a = RoutingService::new(net.clone()).with_threads(2);
     let b = RoutingService::from_snapshot(ServiceSnapshot::build(net)).with_threads(2);
     assert_eq!(a.run_batch(&qs), b.run_batch(&qs));
+}
+
+/// Guarantee 3: four writers racing disjoint 1-node batches lose none
+/// of them, and each batch publishes exactly one epoch.
+#[test]
+fn concurrent_writers_lose_no_moves() {
+    const WRITERS: usize = 4;
+    const BATCHES: usize = 10;
+    let service = RoutingService::new(prepared(31));
+    let start_epoch = service.epoch();
+    let net = service.snapshot().value.network().clone();
+    let hi = net.area().max();
+    // Writer w moves nodes w, w + 4, w + 8, ... by a few meters.
+    let target = |k: usize| {
+        let u = NodeId::new(k);
+        let p = net.position(u);
+        let q = Point::new((p.x + 3.0).min(hi.x), (p.y + 1.5).min(hi.y));
+        (u, q)
+    };
+    let barrier = std::sync::Barrier::new(WRITERS);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (service, barrier, target) = (&service, &barrier, &target);
+            s.spawn(move || {
+                barrier.wait();
+                for b in 0..BATCHES {
+                    service.apply_moves(&[target(b * WRITERS + w)]);
+                }
+            });
+        }
+    });
+    assert_eq!(service.epoch(), start_epoch + (WRITERS * BATCHES) as u64);
+    let last = service.snapshot();
+    for k in 0..WRITERS * BATCHES {
+        let (u, q) = target(k);
+        assert_eq!(last.value.network().position(u), q, "move of {u} was lost");
+    }
 }

@@ -459,7 +459,10 @@ pub fn maintenance_cost_figure(
             for &v in victims.iter().take(kills) {
                 let report = maint.kill(v);
                 inc_work.push(report.work_items as f64);
-                // A full rebuild sweeps every node once per Jacobi round.
+                // The series models the paper's round-based distributed
+                // rebuild, which revisits every node once per round; the
+                // centralized labeler's linear pass reports the same
+                // round count, so these numbers do not depend on it.
                 let mask =
                     sp_net::edge_nodes::edge_node_mask(maint.network(), maint.network().radius());
                 let pinned: Vec<bool> = mask
